@@ -24,7 +24,7 @@ use crate::latency::http_latency_ms;
 use crate::outage::{first_active, FailureKind, Outage};
 use crate::region::Region;
 use asn1::Time;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use telemetry::{catalog, Registry};
 
@@ -106,6 +106,8 @@ impl PendingRequest {
 }
 
 struct HostSpec {
+    /// Dense index of this host, for per-world state.
+    index: usize,
     region: Region,
     group: Option<String>,
     outages: Vec<Outage>,
@@ -153,9 +155,14 @@ impl Topology {
         group: Option<&str>,
         factory: Option<HandlerFactory>,
     ) {
+        let index = self
+            .hosts
+            .get(hostname)
+            .map_or(self.hosts.len(), |old| old.index);
         self.hosts.insert(
             hostname.to_string(),
             HostSpec {
+                index,
                 region,
                 group: group.map(str::to_string),
                 outages: Vec::new(),
@@ -209,16 +216,23 @@ impl Topology {
     }
 }
 
+/// This world's private state for one host.
+#[derive(Default)]
+struct HostState {
+    /// The handler this world instantiated (or had registered directly).
+    handler: Option<Handler>,
+    /// Client regions that have resolved the host before (warm-cache
+    /// latency), one bit per `Region`.
+    dns_warm: u8,
+}
+
 /// One mutable view over a shared [`Topology`]: private handler
 /// instances and a private DNS cache.
 pub struct World {
     topo: Arc<Topology>,
-    /// Handlers this world has instantiated (or had registered
-    /// directly), keyed by hostname.
-    handlers: HashMap<String, Handler>,
-    /// (client region, host) pairs that have resolved DNS before
-    /// (warm-cache latency).
-    dns_cache: HashSet<(Region, String)>,
+    /// Per-host state, indexed by the topology's dense host index and
+    /// grown on first contact.
+    hosts: Vec<HostState>,
     /// Deterministic event counters for this world (one per shard).
     telemetry: Registry,
 }
@@ -235,8 +249,7 @@ impl World {
     pub fn from_topology(topo: Arc<Topology>) -> World {
         World {
             topo,
-            handlers: HashMap::new(),
-            dns_cache: HashSet::new(),
+            hosts: Vec::new(),
             telemetry: Registry::new(),
         }
     }
@@ -278,7 +291,8 @@ impl World {
         handler: Handler,
     ) {
         self.topo_mut().insert(hostname, region, group, None);
-        self.handlers.insert(hostname.to_string(), handler);
+        let index = self.topo.hosts[hostname].index;
+        host_state(&mut self.hosts, index).handler = Some(handler);
     }
 
     /// Whether a hostname is registered.
@@ -393,16 +407,21 @@ impl World {
             };
         };
 
-        let cold_dns = self.dns_cache.insert((client, hostname.to_string()));
-        let latency_ms = http_latency_ms(
+        let state = host_state(&mut self.hosts, host.index);
+        let region_bit = 1u8 << client as u8;
+        let cold_dns = state.dns_warm & region_bit == 0;
+        state.dns_warm |= region_bit;
+        // One jitter draw serves both the returned latency and the
+        // warm-path latency histogram below.
+        let latency = http_latency_ms(
             self.topo.seed,
             hostname,
             client,
             host.region,
             now,
-            cold_dns,
             host.server_time_ms,
         );
+        let latency_ms = latency.ms(cold_dns);
 
         // Failure injection: host outages first, then group outages.
         let host_hit = first_active(&host.outages, now, client);
@@ -451,15 +470,13 @@ impl World {
 
         // This world's private handler instance, built from the shared
         // factory on first contact.
-        let handler = match self.handlers.entry(hostname.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let factory = host.factory.as_ref().unwrap_or_else(|| {
-                    panic!("host {hostname} has neither a handler nor a factory")
-                });
-                e.insert(factory())
-            }
-        };
+        let handler = state.handler.get_or_insert_with(|| {
+            let factory = host
+                .factory
+                .as_ref()
+                .unwrap_or_else(|| panic!("host {hostname} has neither a handler nor a factory"));
+            factory()
+        });
         let (status, reply) = handler(path, body, now, client, &mut self.telemetry);
         let outcome = if status == 200 {
             HttpOutcome::Ok(reply)
@@ -474,22 +491,25 @@ impl World {
         // (one world per shard chunk), so including it would make the
         // histogram depend on the chunk plan and break the exported
         // telemetry's chunking invariance.
-        let warm_ms = http_latency_ms(
-            self.topo.seed,
-            hostname,
-            client,
-            host.region,
-            now,
-            false,
-            host.server_time_ms,
+        self.telemetry.observe(
+            catalog::NET_LATENCY_MS,
+            client.label(),
+            latency.warm_ms as u64,
         );
-        self.telemetry
-            .observe(catalog::NET_LATENCY_MS, client.label(), warm_ms as u64);
         HttpResult {
             outcome,
             latency_ms,
         }
     }
+}
+
+/// A world's state for the host with dense index `index`, growing the
+/// table on first contact.
+fn host_state(hosts: &mut Vec<HostState>, index: usize) -> &mut HostState {
+    if hosts.len() <= index {
+        hosts.resize_with(index + 1, HostState::default);
+    }
+    &mut hosts[index]
 }
 
 /// Split a URL into (scheme, host, path).

@@ -10,6 +10,12 @@ const BLOCK: usize = 64;
 
 /// Compute HMAC-SHA256 of `data` under `key`.
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
+    hmac_sha256_parts(key, &[data])
+}
+
+/// HMAC-SHA256 under `key` of the concatenation of `parts`, streamed
+/// into the hash so the message is never assembled in memory.
+pub fn hmac_sha256_parts(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
     let mut k = [0u8; BLOCK];
     if key.len() > BLOCK {
         let mut h = Sha256::new();
@@ -28,7 +34,9 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
 
     let mut inner = Sha256::new();
     inner.update(&ipad);
-    inner.update(data);
+    for part in parts {
+        inner.update(part);
+    }
     let inner_digest = inner.finalize();
 
     let mut outer = Sha256::new();
@@ -133,6 +141,19 @@ mod tests {
             hex(&mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn parts_equal_the_concatenated_message() {
+        let data = b"what do ya want for nothing?";
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            assert_eq!(
+                hmac_sha256_parts(b"Jefe", &[a, b, &[]]),
+                hmac_sha256(b"Jefe", data)
+            );
+        }
+        assert_eq!(hmac_sha256_parts(b"k", &[]), hmac_sha256(b"k", b""));
     }
 
     #[test]
