@@ -12,7 +12,7 @@
 //! Camerfirma confirmed to the authors that they run *two separate
 //! databases*; this type models exactly that architecture.
 
-use crate::cert::{Certificate, TbsCertificate, Validity};
+use crate::cert::{Certificate, IssuerHashes, TbsCertificate, Validity};
 use crate::crl::{Crl, RevocationReason, RevokedEntry};
 use crate::extensions::{
     AuthorityInfoAccess, BasicConstraints, CrlDistributionPoints, ExtendedKeyUsage, KeyUsage,
@@ -102,6 +102,8 @@ pub struct CertificateAuthority {
     name: Name,
     keypair: KeyPair,
     certificate: Certificate,
+    /// The OCSP CertID hashes of `certificate`, computed once.
+    issuer_hashes: IssuerHashes,
     ocsp_url: String,
     crl_url: String,
     /// Shared subject key for issued leaves. Real leaf keys are unique,
@@ -153,6 +155,7 @@ impl CertificateAuthority {
         CertificateAuthority {
             name,
             keypair,
+            issuer_hashes: IssuerHashes::of(&certificate),
             certificate,
             ocsp_url: format!("http://ocsp.{slug}/"),
             crl_url: format!("http://crl.{slug}/latest.crl"),
@@ -209,6 +212,7 @@ impl CertificateAuthority {
         CertificateAuthority {
             name,
             keypair,
+            issuer_hashes: IssuerHashes::of(&certificate),
             certificate,
             ocsp_url: format!("http://ocsp.{slug}/"),
             crl_url: format!("http://crl.{slug}/latest.crl"),
@@ -464,6 +468,12 @@ impl CertificateAuthority {
         &self.certificate
     }
 
+    /// The OCSP CertID hashes of the CA's certificate (its subject name
+    /// and key), computed when the CA was made.
+    pub fn issuer_hashes(&self) -> &IssuerHashes {
+        &self.issuer_hashes
+    }
+
     /// The CA's signing key pair.
     pub fn keypair(&self) -> &KeyPair {
         &self.keypair
@@ -505,6 +515,19 @@ mod tests {
         let ca = root();
         assert!(ca.certificate().is_self_signed());
         assert!(ca.certificate().is_ca());
+    }
+
+    #[test]
+    fn issuer_hashes_are_those_of_the_certificate() {
+        let mut ca = root();
+        let mut rng = StdRng::seed_from_u64(300);
+        let inter = ca.issue_intermediate(&mut rng, "Example Trust", "Inter", "inter.test", now());
+        for ca in [&ca, &inter] {
+            let cert = ca.certificate();
+            assert_eq!(ca.issuer_hashes().name_hash, cert.subject().hash());
+            assert_eq!(ca.issuer_hashes().key_hash, cert.public_key().key_id());
+        }
+        assert_ne!(ca.issuer_hashes(), inter.issuer_hashes());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod store;
 
 pub use asn1::Time;
 pub use ca::{CertificateAuthority, IssueParams};
-pub use cert::{Certificate, TbsCertificate, Validity};
+pub use cert::{Certificate, IssuerHashes, TbsCertificate, Validity};
 pub use chain::{validate_chain, ChainError};
 pub use crl::{Crl, RevocationReason, RevokedEntry};
 pub use extensions::{AuthorityInfoAccess, BasicConstraints, Extension, KeyUsage, TlsFeature};
